@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/congestion.hpp"
+#include "core/factory.hpp"
 #include "core/theory.hpp"
 #include "telemetry/json.hpp"
 
@@ -187,20 +189,15 @@ CongestionCertificate prove_affine_1d(const AffineClass& cls,
                    gcd_claim("flat affine stream:", cls.stride % w, w, value));
     }
     case core::Scheme::kPad: {
-      // The PAD bank ((a / w) + a) mod w is not affine in the lane when
-      // the stream straddles rows; evaluate the closed form directly.
+      // The PAD bank is not affine in the lane when the stream straddles
+      // rows; count the layout's banks directly.
       std::vector<std::uint64_t> addrs(n);
       for (std::uint64_t t = 0; t < n; ++t) {
         addrs[t] = (cls.base + cls.stride * t) % m;
       }
-      std::sort(addrs.begin(), addrs.end());
-      addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
-      std::vector<std::uint64_t> per_bank(w, 0);
-      std::uint64_t value = 0;
-      for (const std::uint64_t a : addrs) {
-        value = std::max(value, ++per_bank[(a / w + a) % w]);
-      }
-      return exact(cls, scheme, value, "direct-eval",
+      const core::PadMap pad(w, m / w);
+      return exact(cls, scheme, core::congestion_value(addrs, pad),
+                   "direct-eval",
                    "PAD banks evaluated from the closed form (i + j) mod w");
     }
     case core::Scheme::kRap:
@@ -273,20 +270,11 @@ CongestionCertificate prove_trace(std::span<const std::uint64_t> trace,
   }
   if (scheme == core::Scheme::kRaw || scheme == core::Scheme::kPad) {
     // Deterministic schemes stay exactly analyzable on arbitrary streams:
-    // the bank of an address is a closed form, so count bank multiplicity
-    // after CRCW merging without instantiating a map or a machine.
-    std::vector<std::uint64_t> addrs(trace.begin(), trace.end());
-    std::sort(addrs.begin(), addrs.end());
-    addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
-    std::vector<std::uint64_t> per_bank(width, 0);
-    std::uint64_t value = 0;
-    for (const std::uint64_t a : addrs) {
-      const std::uint64_t bank = scheme == core::Scheme::kRaw
-                                     ? a % width
-                                     : (a / width + a) % width;
-      value = std::max(value, ++per_bank[bank]);
-    }
-    return exact(cls, scheme, value, "direct-eval",
+    // their layouts draw no random numbers, so count bank multiplicity
+    // after CRCW merging on the layout itself, without a machine.
+    const auto map = core::make_matrix_map(scheme, width, size / width, 0);
+    return exact(cls, scheme, core::congestion_value(trace, *map),
+                 "direct-eval",
                  "banks evaluated from the scheme's closed form");
   }
   return randomized_envelope(cls, scheme, "arbitrary");

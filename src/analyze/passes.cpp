@@ -7,6 +7,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/congestion.hpp"
+#include "core/factory.hpp"
+
 namespace rapsim::analyze {
 
 namespace {
@@ -110,17 +113,15 @@ Binding extreme_binding(const KernelDesc& kernel, const AffineExpr& expr,
 CongestionCertificate prove_class(const std::vector<std::uint64_t>& trace,
                                   std::uint32_t width, std::uint64_t size,
                                   core::Scheme scheme, AccessDir dir) {
-  if (dir == AccessDir::kAtomic && !trace.empty()) {
-    std::vector<std::uint64_t> sorted(trace);
-    std::sort(sorted.begin(), sorted.end());
-    const bool duplicates =
-        std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
-    if (duplicates) {
+  if (dir == AccessDir::kAtomic) {
+    core::BankCounter banks(width, trace.size());
+    for (const std::uint64_t a : trace) banks.add_merged(a);
+    if (banks.requests() < trace.size()) {
       CongestionCertificate cert;
       cert.scheme = scheme;
       cert.pattern = "atomic stream of " + std::to_string(trace.size()) +
                      " requests with repeated addresses";
-      if (sorted.front() == sorted.back()) {
+      if (banks.requests() == 1) {
         cert.kind = BoundKind::kExact;
         cert.bound = static_cast<double>(trace.size());
         cert.rule = "atomic-broadcast";
@@ -130,16 +131,11 @@ CongestionCertificate prove_class(const std::vector<std::uint64_t>& trace,
         return cert;
       }
       if (scheme == core::Scheme::kRaw || scheme == core::Scheme::kPad) {
-        std::vector<std::uint64_t> per_bank(width, 0);
-        std::uint64_t worst = 0;
-        for (const std::uint64_t a : sorted) {
-          const std::uint64_t bank = scheme == core::Scheme::kRaw
-                                         ? a % width
-                                         : (a / width + a) % width;
-          worst = std::max(worst, ++per_bank[bank]);
-        }
+        const auto map = core::make_matrix_map(scheme, width, size / width, 0);
+        banks.reset();
+        for (const std::uint64_t a : trace) banks.add_bank(map->bank_of(a));
         cert.kind = BoundKind::kExact;
-        cert.bound = static_cast<double>(worst);
+        cert.bound = static_cast<double>(banks.congestion());
         cert.rule = "atomic-direct-eval";
         cert.claim =
             "unmerged atomic requests counted against the scheme's closed "

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/congestion.hpp"
 #include "core/permutation.hpp"
 #include "telemetry/json.hpp"
 #include "util/rng.hpp"
@@ -396,16 +397,14 @@ class ClosureBuilder {
   std::unordered_map<std::string, std::size_t> dedupe_;
 };
 
-/// Candidate evaluator with epoch-stamped bank counters and sound
+/// Candidate evaluator over one reused bank counter, with sound
 /// early-abort: once the running max reaches `abort_at` the candidate's
 /// true bound can only be >= it, so discarding it preserves any
 /// "minimum over the family" claim anchored at or below `abort_at`.
 class Evaluator {
  public:
   explicit Evaluator(const Closure& closure)
-      : closure_(closure),
-        counts_(closure.width, 0),
-        stamp_(closure.width, 0) {}
+      : closure_(closure), banks_(closure.width) {}
 
   struct Outcome {
     double bound = 1.0;
@@ -416,79 +415,24 @@ class Evaluator {
   Outcome evaluate(const SynthMapping& mapping, double abort_at) {
     Outcome out;
     out.bound = std::max(1.0, closure_.const_floor);
-    if (out.bound >= abort_at) {
-      out.completed = false;
-      return out;
-    }
-    const std::uint32_t w = closure_.width;
-    const bool rotate = mapping.transform == RowTransform::kRotate;
-    const std::uint32_t digits = closure_.digits;
-    for (std::size_t c = 0; c < closure_.classes.size(); ++c) {
-      ++epoch_;
-      std::uint32_t class_max = 0;
-      for (const PackedEntry e : closure_.classes[c].entries) {
-        std::uint32_t term = 0;
-        if (rotate) {
-          for (std::uint32_t d = 0; d < digits; ++d) {
-            term += mapping.tables[d][entry_key(e, d)];
-          }
-          term = (entry_col(e) + term) % w;
-        } else {
-          for (std::uint32_t d = 0; d < digits; ++d) {
-            term ^= mapping.tables[d][entry_key(e, d)];
-          }
-          term = (entry_col(e) ^ term) % w;
-        }
-        if (stamp_[term] != epoch_) {
-          stamp_[term] = epoch_;
-          counts_[term] = 0;
-        }
-        class_max = std::max(class_max, ++counts_[term]);
-      }
-      if (static_cast<double>(class_max) > out.bound) {
-        out.bound = static_cast<double>(class_max);
+    for (std::size_t c = 0;
+         c < closure_.classes.size() && out.bound < abort_at; ++c) {
+      const auto class_max =
+          static_cast<double>(congestion_of(closure_.classes[c], mapping));
+      if (class_max > out.bound) {
+        out.bound = class_max;
         out.worst_class = c;
-        if (out.bound >= abort_at) {
-          out.completed = false;
-          return out;
-        }
       }
     }
+    out.completed = out.bound < abort_at;
     return out;
   }
 
   /// Per-site certified bounds under `mapping` (full evaluation).
-  std::vector<double> site_bounds(const SynthMapping& mapping,
-                                  std::size_t num_sites) {
-    std::vector<double> bounds(num_sites, 1.0);
-    for (std::size_t s = 0; s < num_sites; ++s) {
-      bounds[s] = closure_.const_floor_per_site[s];
-    }
-    const std::uint32_t w = closure_.width;
-    const bool rotate = mapping.transform == RowTransform::kRotate;
-    const std::uint32_t digits = closure_.digits;
+  std::vector<double> site_bounds(const SynthMapping& mapping) {
+    std::vector<double> bounds = closure_.const_floor_per_site;
     for (const StoredClass& cls : closure_.classes) {
-      ++epoch_;
-      std::uint32_t class_max = 0;
-      for (const PackedEntry e : cls.entries) {
-        std::uint32_t term = 0;
-        if (rotate) {
-          for (std::uint32_t d = 0; d < digits; ++d) {
-            term += mapping.tables[d][entry_key(e, d)];
-          }
-          term = (entry_col(e) + term) % w;
-        } else {
-          for (std::uint32_t d = 0; d < digits; ++d) {
-            term ^= mapping.tables[d][entry_key(e, d)];
-          }
-          term = (entry_col(e) ^ term) % w;
-        }
-        if (stamp_[term] != epoch_) {
-          stamp_[term] = epoch_;
-          counts_[term] = 0;
-        }
-        class_max = std::max(class_max, ++counts_[term]);
-      }
+      const std::uint32_t class_max = congestion_of(cls, mapping);
       for (const std::uint32_t s : cls.sites) {
         bounds[s] = std::max(bounds[s], static_cast<double>(class_max));
       }
@@ -497,10 +441,27 @@ class Evaluator {
   }
 
  private:
+  /// Congestion of one stored class under `mapping`: every entry is one
+  /// request (loads/stores were merged at ingest, atomics were not).
+  std::uint32_t congestion_of(const StoredClass& cls,
+                              const SynthMapping& mapping) {
+    const bool rotate = mapping.transform == RowTransform::kRotate;
+    const std::uint32_t w = closure_.width;
+    const std::uint32_t digits = closure_.digits;
+    banks_.reset();
+    for (const PackedEntry e : cls.entries) {
+      std::uint32_t term = entry_col(e);
+      for (std::uint32_t d = 0; d < digits; ++d) {
+        const std::uint32_t t = mapping.tables[d][entry_key(e, d)];
+        term = rotate ? term + t : term ^ t;
+      }
+      banks_.add_bank(term % w);
+    }
+    return banks_.congestion();
+  }
+
   const Closure& closure_;
-  std::vector<std::uint32_t> counts_;
-  std::vector<std::uint64_t> stamp_;
-  std::uint64_t epoch_ = 0;
+  core::BankCounter banks_;
 };
 
 std::vector<std::vector<std::uint32_t>> zero_tables(std::uint32_t digits,
@@ -964,7 +925,7 @@ SynthesisResult synthesize_mapping(const KernelDesc& kernel,
   result.baseline_bound = baseline.worst.bound;
   result.certificate =
       make_certificate(best, closure, bound, closure.classes_seen);
-  result.site_bounds = evaluator.site_bounds(best, kernel.sites.size());
+  result.site_bounds = evaluator.site_bounds(best);
 
   // The witness class: rematerialize the worst class's real trace.
   std::size_t witness_site = closure.worst_const.site;

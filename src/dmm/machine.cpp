@@ -1,11 +1,9 @@
 #include "dmm/machine.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
-#include <unordered_map>
 
-#include "analyze/sanitizer.hpp"
+#include "dmm/sanitizer.hpp"
 #include "hier/scheduler.hpp"
 #include "telemetry/run_telemetry.hpp"
 
@@ -26,7 +24,10 @@ void Kernel::push_barrier() {
 }
 
 Dmm::Dmm(DmmConfig config, const core::AddressMap& map)
-    : config_(config), map_(map), memory_(map.size(), 0) {
+    : config_(config),
+      map_(map),
+      memory_(map.size(), 0),
+      banks_(map.width()) {
   config_.validate();
   if (config_.width != map.width()) {
     throw std::invalid_argument("Dmm: config width must match map width");
@@ -51,7 +52,7 @@ void Dmm::fill_identity() {
   }
 }
 
-void Dmm::set_sanitizer(analyze::ShmemSanitizer* sanitizer) {
+void Dmm::set_sanitizer(ShmemSanitizer* sanitizer) {
   sanitizer_ = sanitizer;
   if (sanitizer_) sanitizer_->attach(config_.width, memory_.size());
 }
@@ -69,12 +70,14 @@ bool is_read(OpKind kind) {
 
 }  // namespace
 
-Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
-                                         std::uint32_t instr_idx,
-                                         std::uint32_t warp_begin,
-                                         std::uint32_t warp_end) {
+Dmm::WarpAccess Dmm::warp_access(const Kernel& kernel,
+                                 std::uint32_t instr_idx,
+                                 std::uint32_t warp) {
+  const Instruction& instr = kernel.instructions[instr_idx];
+  const std::uint32_t warp_begin = warp * config_.width;
+  const std::uint32_t warp_end =
+      std::min(warp_begin + config_.width, kernel.num_threads);
   WarpAccess result;
-  const std::uint32_t warp_id = warp_begin / config_.width;
 
   // SIMD check: a warp executes one instruction, so active ops must be of
   // one class — all reads, all writes, or all register ops (Section II:
@@ -128,68 +131,7 @@ Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
                                 : saw_write   ? CapturedOpClass::kWrite
                                 : saw_read    ? CapturedOpClass::kRead
                                               : CapturedOpClass::kRegister;
-    capture_->on_warp_access(instr_idx, warp_id, cls, lane_mask, logical);
-  }
-
-  if (saw_atomic) {
-    // Atomics: every request needs its own bank cycle — same-address
-    // requests serialize instead of merging. The adds themselves commute,
-    // so the data effect is order-independent.
-    std::vector<std::uint32_t> per_bank(config_.width, 0);
-    std::uint64_t rows_touched = 0;
-    std::uint64_t prev_row = std::numeric_limits<std::uint64_t>::max();
-    for (std::uint32_t t = warp_begin; t < warp_end; ++t) {
-      const ThreadOp& op = instr[t];
-      if (op.kind == OpKind::kNone) continue;
-      const std::uint64_t phys = map_.translate(op.logical);
-      if (phys >= memory_.size()) {
-        if (sanitizer_) {
-          // Record and skip the faulting lane so one run collects every
-          // finding instead of dying on the first.
-          sanitizer_->record_out_of_bounds(warp_id, t, instr_idx, op.logical,
-                                           phys);
-          continue;
-        }
-        throw std::out_of_range("Dmm: access beyond memory size");
-      }
-      if (sanitizer_) {
-        // An atomic add reads the cell before writing it back.
-        sanitizer_->check_read(warp_id, t, instr_idx, op.logical, phys,
-                               /*atomic=*/true);
-        sanitizer_->note_write(warp_id, t, instr_idx, op.logical, phys,
-                               /*atomic=*/true);
-      }
-      memory_[phys] += registers_[static_cast<std::size_t>(t) *
-                                      kRegistersPerThread +
-                                  op.reg];
-      ++result.unique_requests;
-      if (telemetry_) {
-        ++telemetry_->bank_requests[static_cast<std::size_t>(phys %
-                                                             config_.width)];
-      }
-      if (config_.kind == MachineKind::kDmm) {
-        const auto bank = static_cast<std::size_t>(phys % config_.width);
-        result.congestion = std::max(result.congestion, ++per_bank[bank]);
-      } else {
-        const std::uint64_t row = phys / config_.width;
-        if (row != prev_row) {
-          ++rows_touched;
-          prev_row = row;
-        }
-      }
-    }
-    if (config_.kind == MachineKind::kUmm) {
-      // Conservative UMM accounting: serial atomics over the rows in
-      // issue order (no row sorting — atomics are not broadcastable).
-      result.congestion = static_cast<std::uint32_t>(
-          std::max<std::uint64_t>(rows_touched, result.active_threads));
-    } else if (telemetry_) {
-      for (std::size_t b = 0; b < per_bank.size(); ++b) {
-        telemetry_->bank_peak[b] =
-            std::max<std::uint64_t>(telemetry_->bank_peak[b], per_bank[b]);
-      }
-    }
-    return result;
+    capture_->on_warp_access(instr_idx, warp, cls, lane_mask, logical);
   }
 
   if (saw_register) {
@@ -207,28 +149,44 @@ Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
     return result;
   }
 
-  // Translate, merge duplicates (CRCW), count per-bank unique requests.
-  // The map preserves bank counts only through translate(); we group by
-  // physical address.
-  std::unordered_map<std::uint64_t, std::uint32_t> first_writer;
-  std::vector<std::uint64_t> unique_addrs;
-  unique_addrs.reserve(warp_end - warp_begin);
+  // Translate and count per-bank requests: loads and stores merge per
+  // physical address (CRCW), atomics count one each. The map preserves
+  // bank counts only through translate().
+  banks_.reset();
   for (std::uint32_t t = warp_begin; t < warp_end; ++t) {
     const ThreadOp& op = instr[t];
     if (op.kind == OpKind::kNone) continue;
     const std::uint64_t phys = map_.translate(op.logical);
     if (phys >= memory_.size()) {
       if (sanitizer_) {
-        sanitizer_->record_out_of_bounds(warp_id, t, instr_idx, op.logical,
+        // Record and skip the faulting lane so one run collects every
+        // finding instead of dying on the first.
+        sanitizer_->record_out_of_bounds(warp, t, instr_idx, op.logical,
                                          phys);
         continue;
       }
       throw std::out_of_range("Dmm: access beyond memory size");
     }
-    const auto [it, inserted] = first_writer.emplace(phys, t);
-    if (inserted) unique_addrs.push_back(phys);
+    if (saw_atomic) {
+      // Atomics: every request needs its own bank cycle — same-address
+      // requests serialize instead of merging. The adds themselves
+      // commute, so the data effect is order-independent.
+      if (sanitizer_) {
+        // An atomic add reads the cell before writing it back.
+        sanitizer_->check_read(warp, t, instr_idx, op.logical, phys,
+                               /*atomic=*/true);
+        sanitizer_->note_write(warp, t, instr_idx, op.logical, phys,
+                               /*atomic=*/true);
+      }
+      memory_[phys] += registers_[static_cast<std::size_t>(t) *
+                                      kRegistersPerThread +
+                                  op.reg];
+      banks_.add_bank(static_cast<std::uint32_t>(phys % config_.width));
+      continue;
+    }
+    const bool inserted = banks_.add_merged(phys);
     if (sanitizer_ && is_read(op.kind)) {
-      sanitizer_->check_read(warp_id, t, instr_idx, op.logical, phys);
+      sanitizer_->check_read(warp, t, instr_idx, op.logical, phys);
     }
 
     auto& reg =
@@ -253,14 +211,20 @@ Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
           memory_[phys] =
               op.kind == OpKind::kStoreImm ? op.immediate : reg;
           if (sanitizer_) {
-            sanitizer_->note_write(warp_id, t, instr_idx, op.logical, phys);
+            sanitizer_->note_write(warp, t, instr_idx, op.logical, phys);
           }
         } else if (sanitizer_) {
-          // The winner already stored; a losing lane carrying a DIFFERENT
-          // value is a genuine CRCW write-write race.
+          // The winner (the lowest lane on this address) already stored; a
+          // losing lane carrying a DIFFERENT value is a genuine CRCW
+          // write-write race.
+          std::uint32_t winner = warp_begin;
+          while (instr[winner].kind == OpKind::kNone ||
+                 map_.translate(instr[winner].logical) != phys) {
+            ++winner;
+          }
           sanitizer_->check_write_conflict(
-              warp_id, it->second, t, instr_idx, op.logical, phys,
-              memory_[phys], op.kind == OpKind::kStoreImm ? op.immediate : reg);
+              warp, winner, t, instr_idx, op.logical, phys, memory_[phys],
+              op.kind == OpKind::kStoreImm ? op.immediate : reg);
         }
         break;
       case OpKind::kNone:
@@ -271,35 +235,30 @@ Dmm::WarpAccess Dmm::perform_warp_access(const Instruction& instr,
     }
   }
 
-  result.unique_requests = static_cast<std::uint32_t>(unique_addrs.size());
-  if (telemetry_) {
-    for (const std::uint64_t addr : unique_addrs) {
-      ++telemetry_->bank_requests[static_cast<std::size_t>(addr %
-                                                           config_.width)];
-    }
-  }
+  result.unique_requests = banks_.requests();
   if (config_.kind == MachineKind::kDmm) {
     // DMM: one pipeline slot carries at most one request per bank.
-    std::vector<std::uint32_t> per_bank(config_.width, 0);
-    for (const std::uint64_t addr : unique_addrs) {
-      const auto bank = static_cast<std::size_t>(addr % config_.width);
-      result.congestion = std::max(result.congestion, ++per_bank[bank]);
-    }
-    if (telemetry_) {
-      for (std::size_t b = 0; b < per_bank.size(); ++b) {
-        telemetry_->bank_peak[b] =
-            std::max<std::uint64_t>(telemetry_->bank_peak[b], per_bank[b]);
-      }
-    }
+    result.congestion = banks_.congestion();
+  } else if (saw_atomic) {
+    // Conservative UMM accounting: one slot per active lane, serial in
+    // issue order (no row merging — atomics are not broadcastable).
+    result.congestion = result.active_threads;
   } else {
-    // UMM: one pipeline slot broadcasts one memory row to all banks.
-    std::sort(unique_addrs.begin(), unique_addrs.end());
-    std::uint64_t prev_row = std::numeric_limits<std::uint64_t>::max();
-    for (const std::uint64_t addr : unique_addrs) {
-      const std::uint64_t row = addr / config_.width;
-      if (row != prev_row) {
-        ++result.congestion;
-        prev_row = row;
+    // UMM: one pipeline slot broadcasts one memory row to all banks, so
+    // the congestion is the number of distinct rows.
+    core::BankCounter rows(1, banks_.distinct().size());
+    for (const std::uint64_t addr : banks_.distinct()) {
+      rows.add_merged(addr / config_.width);
+    }
+    result.congestion = rows.requests();
+  }
+  if (telemetry_) {
+    for (std::uint32_t b = 0; b < config_.width; ++b) {
+      const std::uint32_t load = banks_.load(b);
+      telemetry_->bank_requests[b] += load;
+      if (config_.kind == MachineKind::kDmm) {
+        telemetry_->bank_peak[b] =
+            std::max<std::uint64_t>(telemetry_->bank_peak[b], load);
       }
     }
   }
@@ -320,16 +279,6 @@ void Dmm::begin_run(const Kernel& kernel) {
     }
     capture_->begin_kernel(kernel.num_threads, config_.width, memory_.size());
   }
-}
-
-Dmm::WarpAccess Dmm::warp_access(const Kernel& kernel,
-                                 std::uint32_t instr_idx,
-                                 std::uint32_t warp) {
-  const std::uint32_t begin = warp * config_.width;
-  const std::uint32_t end =
-      std::min(begin + config_.width, kernel.num_threads);
-  return perform_warp_access(kernel.instructions[instr_idx], instr_idx, begin,
-                             end);
 }
 
 void Dmm::finish_barrier(std::uint32_t instr_idx) {

@@ -38,6 +38,7 @@
 #include <span>
 #include <vector>
 
+#include "core/congestion.hpp"
 #include "core/mapping.hpp"
 #include "dmm/capture.hpp"
 #include "dmm/config.hpp"
@@ -45,15 +46,13 @@
 #include "dmm/trace.hpp"
 #include "hier/event.hpp"
 
-namespace rapsim::analyze {
-class ShmemSanitizer;
-}
-
 namespace rapsim::telemetry {
 struct RunTelemetry;
 }
 
 namespace rapsim::dmm {
+
+class ShmemSanitizer;
 
 /// Aggregate results of one kernel execution.
 struct RunStats {
@@ -144,8 +143,8 @@ class Dmm {
   /// While installed, out-of-bounds accesses are recorded and the faulting
   /// lane skipped (instead of the machine throwing on the first one), and
   /// uninitialized reads / divergent CRCW write-write races are recorded.
-  void set_sanitizer(analyze::ShmemSanitizer* sanitizer);
-  [[nodiscard]] analyze::ShmemSanitizer* sanitizer() const noexcept {
+  void set_sanitizer(ShmemSanitizer* sanitizer);
+  [[nodiscard]] ShmemSanitizer* sanitizer() const noexcept {
     return sanitizer_;
   }
 
@@ -161,16 +160,9 @@ class Dmm {
   std::vector<std::uint64_t> memory_;     // physical layout
   std::vector<std::uint64_t> registers_;  // one accumulator per thread
   telemetry::RunTelemetry* telemetry_ = nullptr;  // optional, not owned
-  analyze::ShmemSanitizer* sanitizer_ = nullptr;  // optional, not owned
+  ShmemSanitizer* sanitizer_ = nullptr;           // optional, not owned
   AccessCapture* capture_ = nullptr;              // optional, not owned
-
-  /// Execute the data movement of one warp-instruction and return its
-  /// congestion (pipeline slots) and unique-request count. `instr_idx` is
-  /// the kernel instruction index (sanitizer findings cite it).
-  WarpAccess perform_warp_access(const Instruction& instr,
-                                 std::uint32_t instr_idx,
-                                 std::uint32_t warp_begin,
-                                 std::uint32_t warp_end);
+  core::BankCounter banks_;  // the current warp-instruction's bank loads
 };
 
 /// hier::WarpSource adapter over a straight-line dmm::Kernel: per-warp

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include "core/mapping2d.hpp"
+#include "util/rng.hpp"
 
 namespace rapsim::core {
 namespace {
@@ -113,6 +116,118 @@ TEST(Congestion, PerBankSumsToUniqueRequests) {
   const auto r = congestion_of_physical(addrs, 4);
   EXPECT_EQ(std::accumulate(r.per_bank.begin(), r.per_bank.end(), 0u),
             r.unique_requests);
+}
+
+// --- BankCounter against a brute-force reference --------------------------
+
+/// A seeded stream of `length` addresses over a few rows of a `width`-bank
+/// memory, about a third of them forced repeats of an earlier address.
+std::vector<std::uint64_t> stream_with_duplicates(util::Pcg32& rng,
+                                                  std::uint32_t width,
+                                                  std::uint32_t length) {
+  std::vector<std::uint64_t> addrs;
+  for (std::uint32_t i = 0; i < length; ++i) {
+    if (!addrs.empty() && rng.bounded(3) == 0) {
+      addrs.push_back(addrs[rng.bounded(static_cast<std::uint32_t>(
+          addrs.size()))]);
+    } else {
+      addrs.push_back(rng.bounded(4 * width));
+    }
+  }
+  return addrs;
+}
+
+/// Checks one reset()-and-count round of `counter` against sort+unique
+/// plus a histogram (merged) and a plain histogram (add_bank).
+void expect_matches_reference(BankCounter& counter, std::uint32_t w,
+                              const std::vector<std::uint64_t>& addrs) {
+
+  counter.reset();
+  std::set<std::uint64_t> seen;
+  std::vector<std::uint64_t> first_seen;
+  for (const std::uint64_t a : addrs) {
+    const bool is_new = seen.insert(a).second;
+    if (is_new) first_seen.push_back(a);
+    ASSERT_EQ(counter.add_merged(a), is_new) << "address " << a;
+  }
+  std::vector<std::uint64_t> unique(addrs);
+  std::sort(unique.begin(), unique.end());
+  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+  std::vector<std::uint32_t> merged(w, 0);
+  for (const std::uint64_t a : unique) ++merged[a % w];
+  EXPECT_EQ(counter.requests(), unique.size());
+  EXPECT_EQ(counter.congestion(),
+            *std::max_element(merged.begin(), merged.end()));
+  for (std::uint32_t b = 0; b < w; ++b) EXPECT_EQ(counter.load(b), merged[b]);
+  EXPECT_TRUE(std::equal(counter.distinct().begin(), counter.distinct().end(),
+                         first_seen.begin(), first_seen.end()));
+
+  counter.reset();
+  std::vector<std::uint32_t> plain(w, 0);
+  for (const std::uint64_t a : addrs) {
+    counter.add_bank(static_cast<std::uint32_t>(a % w));
+    ++plain[a % w];
+  }
+  EXPECT_EQ(counter.requests(), addrs.size());
+  EXPECT_EQ(counter.congestion(),
+            *std::max_element(plain.begin(), plain.end()));
+  for (std::uint32_t b = 0; b < w; ++b) EXPECT_EQ(counter.load(b), plain[b]);
+  EXPECT_TRUE(counter.distinct().empty());
+}
+
+TEST(BankCounter, MatchesBruteForceAtEveryLength) {
+  for (const std::uint32_t w : {1u, 3u, 4u, 32u, 256u}) {
+    util::Pcg32 rng(w);
+    // Default capacity is one warp: lengths past w also exercise growth.
+    BankCounter counter(w);
+    for (std::uint32_t length = 0; length <= 2 * w; ++length) {
+      SCOPED_TRACE("w=" + std::to_string(w) +
+                   " length=" + std::to_string(length));
+      expect_matches_reference(counter, w,
+                               stream_with_duplicates(rng, w, length));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(BankCounter, TenThousandResetsLeaveNoStaleCounts) {
+  const std::uint32_t w = 32;
+  util::Pcg32 rng(2014);
+  BankCounter counter(w);
+  for (int round = 0; round < 10000; ++round) {
+    const std::uint32_t length = rng.bounded(2 * w + 1);
+    expect_matches_reference(counter, w,
+                             stream_with_duplicates(rng, w, length));
+    if (HasFailure()) {
+      ADD_FAILURE() << "round " << round;
+      return;
+    }
+  }
+}
+
+TEST(BankCounter, ResetForgetsEverything) {
+  BankCounter counter(4);
+  EXPECT_TRUE(counter.add_merged(6));
+  EXPECT_FALSE(counter.add_merged(6));
+  counter.reset();
+  EXPECT_EQ(counter.congestion(), 0u);
+  EXPECT_EQ(counter.requests(), 0u);
+  EXPECT_EQ(counter.load(2), 0u);
+  EXPECT_TRUE(counter.add_merged(6));  // new again after reset
+}
+
+// The prover counts RAW and PAD banks through the maps themselves; they
+// must agree with the closed forms a % w and (a / w + a) mod w, also on
+// addresses past the matrix.
+TEST(BankCounter, RawAndPadBanksMatchTheirClosedForms) {
+  for (const std::uint32_t w : {4u, 32u}) {
+    const RawMap raw(w, w);
+    const PadMap pad(w, w);
+    for (std::uint64_t a = 0; a < raw.size() + 3 * w; ++a) {
+      EXPECT_EQ(raw.bank_of(a), a % w) << "w=" << w << " a=" << a;
+      EXPECT_EQ(pad.bank_of(a), (a / w + a) % w) << "w=" << w << " a=" << a;
+    }
+  }
 }
 
 }  // namespace
