@@ -15,7 +15,7 @@
 //   * config entries  cycles_sms<N>_<sched> — the SIMULATED cycle count
 //     of each cell. These are the model's scientific outputs: at >= 2
 //     SMs the shared-port contention makes them scheduler-dependent
-//     (pinned by tools/check_hier_schema.sh and
+//     (pinned by rapsim-schema hier and
 //     tests/hier_differential_test.cpp).
 //   * metrics         sim_sms<N>_<sched> — wall-clock throughput of the
 //     simulator itself (items = dispatched warp-instructions), the

@@ -37,15 +37,15 @@
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
 #include "util/cli.hpp"
+#include "util/clock.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace rapsim;
-// All timing goes through the shared perfbench steady clock — benches
-// must never mix clock sources.
-using Clock = perfbench::Clock;
+// All timing goes through the repository's one steady clock
+// (util/clock.hpp) — benches must never mix clock sources.
 
 /// One certify request over a distinct stride pattern per identity slot.
 std::string certify_line(std::uint64_t identity_slot, std::uint32_t width) {
@@ -77,7 +77,7 @@ PhaseResult run_phase(serve::Service& service,
   std::atomic<std::uint64_t> errors{0};
   std::mutex tally_mutex;
   util::Tally latency_ns;
-  const perfbench::TimePoint start = perfbench::now();
+  const util::TimePoint start = util::now();
   std::vector<std::thread> threads;
   threads.reserve(clients);
   for (std::uint64_t c = 0; c < clients; ++c) {
@@ -86,10 +86,10 @@ PhaseResult run_phase(serve::Service& service,
       for (;;) {
         const std::uint64_t i = next.fetch_add(1);
         if (i >= total) break;
-        const perfbench::TimePoint sent = perfbench::now();
+        const util::TimePoint sent = util::now();
         const std::string response =
             service.handle_line(lines[i % lines.size()]);
-        local.add(perfbench::elapsed_ns(sent));
+        local.add(util::elapsed_ns(sent));
         if (response.find("\"ok\":true") == std::string::npos) {
           errors.fetch_add(1);
         }
@@ -101,7 +101,7 @@ PhaseResult run_phase(serve::Service& service,
   for (std::thread& thread : threads) thread.join();
 
   PhaseResult result;
-  result.wall_ns = perfbench::elapsed_ns(start);
+  result.wall_ns = util::elapsed_ns(start);
   result.seconds = static_cast<double>(result.wall_ns) / 1e9;
   result.requests_per_second =
       result.seconds > 0 ? static_cast<double>(total) / result.seconds : 0;

@@ -24,7 +24,7 @@
 //
 // Part of tools/run_all.sh ("vm" section); the committed baseline is
 // BENCH_vm.json at the repo root (schema pinned by
-// tools/check_vm_schema.sh, ctest entry vm_schema).
+// rapsim-schema vm, ctest entry vm_schema).
 
 #include <cstdint>
 #include <cstdio>

@@ -16,7 +16,7 @@
 // document (schema below) carrying, per (scheme, pattern, width) cell,
 // the mean/ci95, the exact congestion percentiles p50/p95/p99, and the
 // per-bank unique-request totals — the stable schema tools/run_all.sh
-// archives under results/metrics/ and tools/check_metrics_schema.sh
+// archives under results/metrics/ and rapsim-schema metrics
 // validates.
 //
 // With --bench-json=PATH the binary instead times the full sweep under

@@ -256,10 +256,8 @@ Dmm::WarpAccess Dmm::warp_access(const Kernel& kernel,
     for (std::uint32_t b = 0; b < config_.width; ++b) {
       const std::uint32_t load = banks_.load(b);
       telemetry_->bank_requests[b] += load;
-      if (config_.kind == MachineKind::kDmm) {
-        telemetry_->bank_peak[b] =
-            std::max<std::uint64_t>(telemetry_->bank_peak[b], load);
-      }
+      telemetry_->bank_peak[b] =
+          std::max<std::uint64_t>(telemetry_->bank_peak[b], load);
     }
   }
   return result;

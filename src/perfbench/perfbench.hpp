@@ -4,8 +4,8 @@
 // committed baseline, so the measurement protocol has to be boring and
 // reproducible:
 //
-//   * one steady clock (clock.hpp — wall-clock jumps cannot corrupt a
-//     sample);
+//   * one steady clock (util/clock.hpp — wall-clock jumps cannot
+//     corrupt a sample);
 //   * a warmup/repeat protocol (run_timed): `warmup` untimed runs to
 //     fill caches and branch predictors, then `repeats` timed samples;
 //   * outlier-robust aggregation reusing util::Tally / util::OnlineStats:
@@ -16,7 +16,7 @@
 //     cross-machine diff is recognizable as one;
 //   * a schema-stable emitter (BenchReport::to_json / write_bench_json)
 //     producing the BENCH_<name>.json documents tools/bench_compare
-//     diffs and tools/check_bench_schema.sh validates.
+//     diffs and rapsim-schema bench validates.
 //
 // Two aggregation shapes cover every bench:
 //
@@ -34,8 +34,8 @@
 #include <utility>
 #include <vector>
 
-#include "perfbench/clock.hpp"
 #include "util/cli.hpp"
+#include "util/clock.hpp"
 #include "util/stats.hpp"
 
 namespace rapsim::perfbench {
@@ -95,9 +95,9 @@ template <typename Fn>
   std::vector<std::uint64_t> samples;
   samples.reserve(protocol.repeats);
   for (std::size_t i = 0; i < protocol.repeats; ++i) {
-    const TimePoint start = now();
+    const util::TimePoint start = util::now();
     fn();
-    samples.push_back(elapsed_ns(start));
+    samples.push_back(util::elapsed_ns(start));
   }
   return aggregate_repeats(samples, items);
 }
@@ -115,7 +115,7 @@ struct MachineInfo {
 
 /// One BENCH_<name>.json document under construction. Config entries
 /// and metrics serialize in insertion order; the field set per metric is
-/// the stable schema tools/check_bench_schema.sh pins.
+/// the stable schema rapsim-schema bench pins.
 class BenchReport {
  public:
   explicit BenchReport(std::string bench_name)

@@ -14,7 +14,7 @@
 // order.
 //
 // Artifacts, all machine-readable and schema-checked by
-// tools/check_replay_schema.sh:
+// rapsim-schema replay:
 //
 //   <results_dir>/manifest.json   the grid: config + every cell's key and
 //                                 cached/pending status at launch time

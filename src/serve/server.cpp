@@ -6,8 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "perfbench/clock.hpp"
 #include "telemetry/chrome_trace.hpp"
+#include "util/clock.hpp"
 
 namespace rapsim::serve {
 
@@ -137,9 +137,9 @@ void Server::connection_loop(Socket socket) {
     const std::uint64_t root = tracer_.begin("request");
     const std::string response = service_.handle_line(line, root);
     const std::uint64_t write_span = tracer_.begin("write", root);
-    const perfbench::Clock::time_point write_start = perfbench::now();
+    const util::TimePoint write_start = util::now();
     const bool ok = write_all(socket, response + "\n");
-    service_.observe_phase("write", perfbench::elapsed_ns(write_start) / 1000);
+    service_.observe_phase("write", util::elapsed_ns(write_start) / 1000);
     tracer_.end(write_span);
     tracer_.end(root);
     if (!ok) return;

@@ -12,8 +12,9 @@
 //                           bijective workload (every address touched
 //                           once), so this is the column that shows WHICH
 //                           banks serialize: a RAW stride write peaks at w
-//                           on one bank, RAP at ~1. DMM machines only
-//                           (a UMM has no per-bank address lines).
+//                           on one bank, RAP at ~1. Filled on both
+//                           machine kinds: a UMM slot serves whole rows,
+//                           but each bank still receives its requests.
 //   * congestion          — exact histogram of per-dispatch congestion
 //   * dispatches          — warp-instructions dispatched
 //   * total_slots         — pipeline slots consumed (sum of congestion)

@@ -1,6 +1,6 @@
 #include "telemetry/span_tracer.hpp"
 
-#include "perfbench/clock.hpp"
+#include "util/clock.hpp"
 
 namespace rapsim::telemetry {
 
@@ -9,7 +9,7 @@ namespace {
 std::uint64_t steady_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
-          perfbench::now().time_since_epoch())
+          util::now().time_since_epoch())
           .count());
 }
 

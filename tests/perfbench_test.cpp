@@ -12,9 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "perfbench/clock.hpp"
 #include "perfbench/compare.hpp"
 #include "perfbench/perfbench.hpp"
+#include "util/clock.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -24,12 +24,12 @@ using namespace rapsim;
 // ---------------------------------------------------------------- clock
 
 TEST(PerfbenchClock, ElapsedIsMonotoneAndSaturating) {
-  const perfbench::TimePoint a = perfbench::now();
-  const perfbench::TimePoint b = perfbench::now();
-  EXPECT_GE(perfbench::elapsed_ns(a, b), 0u);
+  const util::TimePoint a = util::now();
+  const util::TimePoint b = util::now();
+  EXPECT_GE(util::elapsed_ns(a, b), 0u);
   // Reversed order saturates to 0 instead of wrapping to ~2^64.
-  EXPECT_EQ(perfbench::elapsed_ns(b, a), 0u);
-  EXPECT_EQ(perfbench::elapsed_ns(a, a), 0u);
+  EXPECT_EQ(util::elapsed_ns(b, a), 0u);
+  EXPECT_EQ(util::elapsed_ns(a, a), 0u);
 }
 
 // ---------------------------------------------------- aggregate_repeats

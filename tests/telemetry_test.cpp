@@ -5,7 +5,7 @@
 // The chrome-trace and registry tests are golden-schema round-trips: they
 // pin the keys and the structural invariants (balanced containers, one
 // event per dispatch, warp/slot/completion numbers of the Figure 3 worked
-// example) that tools/check_metrics_schema.sh and external consumers
+// example) that rapsim-schema metrics and external consumers
 // (Perfetto, the results/metrics/ drop) rely on.
 
 #include <gtest/gtest.h>
@@ -160,6 +160,23 @@ TEST(RunTelemetry, Fig3BankCountsAndCongestion) {
   EXPECT_EQ(sink.warp_stall_slots, 2u);
   EXPECT_EQ(sink.pipeline_idle_slots, 0u);
   EXPECT_NEAR(sink.bank_occupancy(3), 1.0, 1e-12);
+}
+
+TEST(RunTelemetry, UmmFillsBankPeak) {
+  // The same Figure 3 kernel on a UMM: the per-bank request counts do
+  // not depend on the machine kind, so neither does the per-bank peak.
+  core::RawMap map(4, 4);
+  dmm::Dmm machine(dmm::DmmConfig{4, 5, dmm::MachineKind::kUmm}, map);
+  telemetry::RunTelemetry sink;
+  machine.set_telemetry(&sink);
+  (void)machine.run(fig3_kernel());
+
+  ASSERT_EQ(sink.bank_peak.size(), 4u);
+  EXPECT_EQ(sink.bank_requests[3], 3u);
+  EXPECT_EQ(sink.bank_peak[3], 2u);
+  EXPECT_EQ(sink.bank_peak[0], 1u);
+  EXPECT_EQ(sink.bank_peak[1], 1u);
+  EXPECT_EQ(sink.bank_peak[2], 1u);
 }
 
 TEST(RunTelemetry, ResetBetweenRuns) {

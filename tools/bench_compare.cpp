@@ -14,24 +14,11 @@
 // (cross-machine numbers are not a trajectory) but is not a failure.
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "perfbench/compare.hpp"
 #include "util/cli.hpp"
-
-namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream body;
-  body << in.rdbuf();
-  return body.str();
-}
-
-}  // namespace
+#include "util/file.hpp"
 
 int main(int argc, char** argv) {
   using namespace rapsim;
@@ -52,8 +39,9 @@ int main(int argc, char** argv) {
 
   perfbench::CompareResult result;
   try {
-    result = perfbench::compare_bench_json(read_file(files[0]),
-                                           read_file(files[1]), threshold);
+    result = perfbench::compare_bench_json(util::read_file(files[0]),
+                                           util::read_file(files[1]),
+                                           threshold);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_compare: %s\n", e.what());
     return 2;

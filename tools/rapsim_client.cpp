@@ -26,7 +26,6 @@
 // transport failure, 2 on usage errors.
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -35,18 +34,11 @@
 #include "serve/client.hpp"
 #include "telemetry/json.hpp"
 #include "util/cli.hpp"
+#include "util/file.hpp"
 
 namespace {
 
 using namespace rapsim;
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::invalid_argument("cannot open '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
 
 /// "0,1,2;32,33" -> [[0,1,2],[32,33]] written into `json` under the
 /// "addresses" key (always the nested form; the server accepts both).
@@ -98,11 +90,11 @@ std::string build_params(const std::string& method,
   } else if (method == "lint") {
     const auto file = args.get("file");
     if (!file) throw std::invalid_argument("lint needs --file=KERNEL");
-    json.kv("kernel", std::string_view(read_file(*file)));
+    json.kv("kernel", std::string_view(util::read_file(*file)));
   } else if (method == "replay") {
     const auto trace = args.get("trace");
     if (!trace) throw std::invalid_argument("replay needs --trace=FILE");
-    json.kv("trace", std::string_view(read_file(*trace)));
+    json.kv("trace", std::string_view(util::read_file(*trace)));
     if (const auto latency = args.get("latency")) {
       json.kv("latency", args.get_uint("latency", 1));
     }
@@ -113,7 +105,7 @@ std::string build_params(const std::string& method,
   } else if (method == "synthesize") {
     const auto file = args.get("file");
     if (!file) throw std::invalid_argument("synthesize needs --file=KERNEL");
-    json.kv("kernel", std::string_view(read_file(*file)));
+    json.kv("kernel", std::string_view(util::read_file(*file)));
     if (const auto draws = args.get("draws")) {
       json.kv("draws", args.get_uint("draws", 48));
     }
@@ -131,7 +123,7 @@ std::string build_params(const std::string& method,
           "advise needs exactly one of --file=KERNEL and --addresses");
     }
     if (file) {
-      json.kv("kernel", std::string_view(read_file(*file)));
+      json.kv("kernel", std::string_view(util::read_file(*file)));
     } else {
       if (const auto rows = args.get("rows")) {
         json.kv("rows", args.get_uint("rows", 0));

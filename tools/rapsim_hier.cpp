@@ -22,13 +22,11 @@
 // --dram-service and --mshrs.
 //
 // --format=json emits one machine-readable document on stdout
-// (schema_version 1, validated by tools/check_hier_schema.sh); the
+// (schema_version 1, validated by rapsim-schema hier); the
 // default is a short human-readable summary.
 
 #include <cstdio>
 #include <exception>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -38,6 +36,7 @@
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/cli.hpp"
+#include "util/file.hpp"
 #include "vm/assembler.hpp"
 #include "vm/exec.hpp"
 #include "workload_kernels.hpp"
@@ -45,14 +44,6 @@
 namespace {
 
 using namespace rapsim;
-
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 hier::PathParams path_from_args(const util::CliArgs& args) {
   const std::string mode = args.get_string("path", "on");
@@ -211,7 +202,7 @@ int run(int argc, char** argv) {
       throw std::invalid_argument("--workload and --program are exclusive");
     }
     const vm::Program program =
-        vm::assemble(read_text_file(*program_path), width);
+        vm::assemble(util::read_file(*program_path), width);
     vm::LoweredProgram lowered = vm::lower_program(program);
     entry = {program.name, std::move(lowered.kernel), lowered.rows,
              "program"};

@@ -36,6 +36,7 @@
 #include "builtin_kernels.hpp"
 #include "telemetry/json.hpp"
 #include "util/cli.hpp"
+#include "util/file.hpp"
 #include "vm/assembler.hpp"
 #include "vm/extract.hpp"
 
@@ -50,14 +51,6 @@ core::Scheme parse_scheme(const std::string& name) {
   if (name == "rap") return core::Scheme::kRap;
   throw std::invalid_argument("unknown scheme '" + name +
                               "' (expected raw, pad, ras or rap)");
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::invalid_argument("cannot open '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
 }
 
 }  // namespace
@@ -108,13 +101,14 @@ int main(int argc, char** argv) {
 
     std::vector<analyze::KernelDesc> kernels;
     if (const auto file = args.get("file")) {
-      kernels.push_back(analyze::parse_kernel_text(read_file(*file), width));
+      kernels.push_back(
+          analyze::parse_kernel_text(util::read_file(*file), width));
     } else if (const auto program = args.get("program")) {
       // Assemble + extract loop-nest IR from a `.rvm` VM program. When the
       // extraction cannot name every executing warp the congestion passes
       // stay sound but race attribution would be unsound — skip it.
       vm::ExtractResult extracted =
-          vm::extract_kernel(vm::assemble(read_file(*program), width));
+          vm::extract_kernel(vm::assemble(util::read_file(*program), width));
       if (!extracted.complete) {
         for (const std::string& note : extracted.notes) {
           std::cerr << "rapsim-lint: note: " << note << "\n";

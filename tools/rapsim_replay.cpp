@@ -40,11 +40,9 @@
 //         examples/same_bank_adversary.trace --schemes=raw,rap --trials=8
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -56,6 +54,7 @@
 #include "replay/trace.hpp"
 #include "telemetry/json.hpp"
 #include "util/cli.hpp"
+#include "util/file.hpp"
 #include "vm/assembler.hpp"
 #include "vm/exec.hpp"
 #include "workload_kernels.hpp"
@@ -63,14 +62,6 @@
 namespace {
 
 using namespace rapsim;
-
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::invalid_argument("cannot open '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -140,7 +131,7 @@ int cmd_capture(const util::CliArgs& args) {
   if (program_path) {
     // Assemble + lower the user's `.rvm` program at the requested width.
     const vm::Program program =
-        vm::assemble(read_text_file(*program_path), width);
+        vm::assemble(util::read_file(*program_path), width);
     vm::LoweredProgram lowered = vm::lower_program(program);
     entry = {program.name, std::move(lowered.kernel), lowered.rows,
              "program"};
@@ -200,7 +191,7 @@ int cmd_replay(const util::CliArgs& args, const std::string& path) {
             "--certify is not supported with --map (the spec carries its "
             "own certificate from synthesis)");
       }
-      std::string text = spec ? *spec : read_text_file(*spec_file);
+      std::string text = spec ? *spec : util::read_file(*spec_file);
       // A spec file may end with a trailing newline; strip it.
       while (!text.empty() && (text.back() == '\n' || text.back() == '\r')) {
         text.pop_back();

@@ -9,7 +9,7 @@
 # bench_output.txt, the names EXPERIMENTS.md references).
 #
 # Machine-readable telemetry lands under results/metrics/: the Table II
-# congestion JSON (stable schema, validated by check_metrics_schema.sh),
+# congestion JSON (stable schema, validated by rapsim-schema metrics),
 # the Figure 3 chrome://tracing timeline (open in ui.perfetto.dev), and a
 # rapsim_profile document per transpose algorithm. These files are the
 # per-run metric drop that seeds the BENCH_*.json performance trajectory
@@ -30,6 +30,7 @@ if [ ! -f "$BUILD_DIR/CMakeCache.txt" ] && command -v ninja >/dev/null 2>&1; the
 fi
 cmake -B "$BUILD_DIR" "${GENERATOR[@]}"
 cmake --build "$BUILD_DIR"
+SCHEMA="$BUILD_DIR/tools/rapsim-schema"
 
 ctest --test-dir "$BUILD_DIR" 2>&1 | tee test_output.txt
 
@@ -53,22 +54,22 @@ for workload in transpose-crsw transpose-srcw transpose-drdw; do
   "$BUILD_DIR"/examples/rapsim_profile --workload="$workload" --format=json \
     > "results/metrics/profile_${workload}.json"
 done
-tools/check_metrics_schema.sh "$BUILD_DIR"/bench/table2_congestion_sim
+"$SCHEMA" metrics "$BUILD_DIR"/bench/table2_congestion_sim
 
 echo "=== demo replay campaign -> results/replay/ ==="
 REPLAY="$BUILD_DIR/tools/rapsim-replay"
 "$REPLAY" campaign examples/contiguous_stride.trace \
           examples/same_bank_adversary.trace \
           --schemes=raw,ras,rap,pad --trials=8 --results=results/replay
-tools/check_replay_schema.sh "$REPLAY" \
+"$SCHEMA" replay "$REPLAY" \
   examples/contiguous_stride.trace examples/same_bank_adversary.trace
 
 echo "=== serve daemon drill -> results/serve/ ==="
 mkdir -p results/serve
 tools/serve_smoke.sh "$BUILD_DIR"/tools/rapsim-served \
                      "$BUILD_DIR"/tools/rapsim-client
-tools/check_serve_schema.sh "$BUILD_DIR"/tools/rapsim-served \
-                            "$BUILD_DIR"/tools/rapsim-client || [ $? -eq 77 ]
+"$SCHEMA" serve "$BUILD_DIR"/tools/rapsim-served \
+  "$BUILD_DIR"/tools/rapsim-client --examples=examples
 # One short-lived daemon run whose drained metrics + span trace land in
 # the results drop (the bench's stdout is already captured as
 # results/ext_serve_throughput.txt by the loop above). Open the trace in
@@ -112,12 +113,10 @@ mkdir -p results/bench
   --bench-json=results/bench/BENCH_vm.json --quick
 "$BUILD_DIR"/bench/ext_hier_scaling \
   --bench-json=results/bench/BENCH_hier.json --quick
-tools/check_bench_schema.sh "$BUILD_DIR"/bench/theorem2_bound_sweep \
-  || [ $? -eq 77 ]
-tools/check_vm_schema.sh "$BUILD_DIR"/bench/ext_vm_workloads \
-  || [ $? -eq 77 ]
-tools/check_hier_schema.sh "$BUILD_DIR"/tools/rapsim-hier \
-  "$BUILD_DIR"/bench/ext_hier_scaling || [ $? -eq 77 ]
+"$SCHEMA" bench "$BUILD_DIR"/bench/theorem2_bound_sweep
+"$SCHEMA" vm "$BUILD_DIR"/bench/ext_vm_workloads
+"$SCHEMA" hier "$BUILD_DIR"/tools/rapsim-hier \
+  "$BUILD_DIR"/bench/ext_hier_scaling
 COMPARE="$BUILD_DIR/tools/bench_compare"
 for baseline in BENCH_table2.json BENCH_serve.json BENCH_synth.json \
                 BENCH_vm.json BENCH_hier.json; do
@@ -173,7 +172,7 @@ LINT="$BUILD_DIR/tools/rapsim-lint"
   "$LINT" --kernel="$kernel" --format=json --fail-on=never \
     --out="results/analysis/lint_${kernel}.json"
 done
-tools/check_lint_schema.sh "$LINT"
+"$SCHEMA" lint "$LINT" --examples=examples
 
 echo "=== layout synthesis -> results/analysis/ ==="
 # Full search per catalog kernel: the JSON report gains a "synthesis"

@@ -3,24 +3,18 @@
 #
 #   tools/serve_smoke.sh [path/to/rapsim-served] [path/to/rapsim-client]
 #
-# Two daemon incarnations on throwaway UNIX sockets, no python needed:
+# Two daemon incarnations on throwaway UNIX sockets:
 #
 #   normal config    1. >= 8 concurrent clients across every method
-#                       family all succeed;
-#                    2. a repeated certify is served from the cache
-#                       byte-identically, and the live stats snapshot
-#                       reports the hit (hit_rate / occupancy /
-#                       busy_workers / utilization);
-#                    2b. the daemon ran with --trace-out: the drain
-#                       writes a chrome://tracing document whose replay
-#                       request renders as a nested flame (request,
-#                       admission, cache_lookup, queue_wait,
-#                       execute:replay, write spans);
-#   1 worker/queue 1 3. saturating the pool sheds with a structured
+#                       family all succeed, and the daemon drains on
+#                       the shutdown method;
+#   1 worker/queue 1 2. saturating the pool sheds with a structured
 #                       503 overloaded;
-#                    4. SIGTERM drains gracefully: exit code 0, metrics
+#                    3. SIGTERM drains gracefully: exit code 0, metrics
 #                       flushed, and the document records the shed.
 #
+# The response documents themselves (cache byte-identity, the stats
+# gauges, the span flame) are checked by `rapsim-schema serve`.
 # Registered as the ctest entry `serve_smoke`; also run by run_all.sh.
 
 set -euo pipefail
@@ -60,8 +54,7 @@ start_daemon() {  # start_daemon <flags...>
 rpc() { "$CLIENT" "$@" --socket="$SOCK"; }
 
 # --- 1. concurrent mixed-method clients --------------------------------
-TRACE_OUT="$WORK/spans.trace.json"
-start_daemon --trace-out="$TRACE_OUT"
+start_daemon
 KERNEL="$(dirname "$0")/../examples/naive_transpose.kernel"
 TRACE="$(dirname "$0")/../examples/contiguous_stride.trace"
 PIDS=()
@@ -86,43 +79,11 @@ for pid in "${PIDS[@]}"; do
 done
 echo "serve_smoke: ${#PIDS[@]} concurrent clients OK"
 
-# --- 2. cache hit is byte-identical ------------------------------------
-rpc certify --addresses="0,16,32,48" --width=16 > "$WORK/cold"
-rpc certify --addresses="0,16,32,48" --width=16 > "$WORK/warm"
-cmp -s "$WORK/cold" "$WORK/warm" || fail "cached result body differs"
-rpc certify --addresses="0,16,32,48" --width=16 --verbose \
-  | grep -q '"cached":true' || fail "repeat request was not served cached"
-echo "serve_smoke: cache replay byte-identical OK"
-
-# The live stats snapshot must reflect that hit: a nonzero hit_rate plus
-# the occupancy / worker-utilization gauges the dashboard consumers read.
-rpc stats > "$WORK/stats_after_hit"
-grep -q '"hits":' "$WORK/stats_after_hit" || fail "stats lost cache hits"
-grep -q '"hit_rate":0\.' "$WORK/stats_after_hit" \
-  || fail "stats hit_rate not a nonzero fraction after a cache hit"
-grep -q '"occupancy":' "$WORK/stats_after_hit" || fail "stats lacks occupancy"
-grep -q '"busy_workers":' "$WORK/stats_after_hit" \
-  || fail "stats lacks busy_workers"
-grep -q '"utilization":' "$WORK/stats_after_hit" \
-  || fail "stats lacks utilization"
-grep -q '"serve.phase_us"' "$WORK/stats_after_hit" \
-  || fail "stats metrics lack the serve.phase_us distributions"
-echo "serve_smoke: live stats snapshot OK"
-
 rpc shutdown > /dev/null
 wait "$DAEMON_PID" || fail "daemon did not drain after client shutdown"
 DAEMON_PID=""
 
-# --- 2b. the drain wrote the request-span flame ------------------------
-[ -f "$TRACE_OUT" ] || fail "drain did not write $TRACE_OUT"
-for span in '"request"' '"admission"' '"cache_lookup"' '"queue_wait"' \
-            '"execute:replay"' '"write"'; do
-  grep -q "$span" "$TRACE_OUT" \
-    || fail "chrome trace lacks the $span span"
-done
-echo "serve_smoke: chrome trace spans OK (request flame captured)"
-
-# --- 3. deliberate overload sheds with 503 -----------------------------
+# --- 2. deliberate overload sheds with 503 -----------------------------
 # Tiny incarnation: hold the single worker, fill the queue's one slot,
 # then watch the next request bounce. Control-plane stats bypasses the
 # queue, so polling it under saturation is itself part of the check.
@@ -158,7 +119,7 @@ wait "$HOLD_A" || fail "held request A failed"
 wait "$HOLD_B" || fail "held request B failed"
 echo "serve_smoke: overload shed with structured 503 OK"
 
-# --- 4. graceful SIGTERM drain -----------------------------------------
+# --- 3. graceful SIGTERM drain -----------------------------------------
 kill -TERM "$DAEMON_PID"
 DRAIN_RC=0
 wait "$DAEMON_PID" || DRAIN_RC=$?
